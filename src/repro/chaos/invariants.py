@@ -301,7 +301,7 @@ def check_job_records_parse(root: str | Path) -> list[str]:
 
     Run *before* recovery: a crash anywhere — including mid-save — must
     never leave a record that is present but unreadable, because records
-    are only ever created whole (O_EXCL + full write + fsync) and
+    are only ever created whole (fsynced tmp + exclusive link) and
     rewritten via the durable tmp+replace protocol. ``.bak`` files do
     not count: they are fsck's forensic quarantine, not live records.
     """

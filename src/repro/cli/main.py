@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cancel",
         help="request cancellation of a service job",
         description="Drop the job's cancel marker; the scheduler stops "
-                    "it on its next tick. Unknown job ids exit 7.",
+                    "it on its next pass. Unknown job ids exit 7.",
     )
     _service_target(cancel)
     cancel.add_argument("job_id", help="id of the job to cancel")

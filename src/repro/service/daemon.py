@@ -4,8 +4,15 @@ One process, two loops plus two background rails. A
 :class:`ThreadingHTTPServer` answers the JSON API on its own threads
 (reads are safe concurrently: records are immutable-on-disk between
 durable replaces, and analyze reads go through the ingest cache); the
-scheduler ticks on the main thread and stays the single writer of job
-records. ``SIGTERM``/``SIGINT`` trigger the graceful path: stop
+scheduler runs on the main thread and stays the single writer of job
+records. The scheduler loop is event-driven: it sleeps until a job
+runner exits (process sentinels), a submit or cancel lands (the API
+writes a byte to the daemon's self-pipe), a timed deadline comes due,
+or ``tick_interval`` passes — the ceiling that still picks up records
+other processes write into the root. Before its first claim the daemon
+imports the job runner's whole module set
+(:func:`~repro.service.scheduler.preload_job_runtime`), so every forked
+runner starts warm. ``SIGTERM``/``SIGINT`` trigger the graceful path: stop
 claiming, drain every running job back to QUEUED-with-resume, release
 leases, stop the HTTP server, exit 0. A ``SIGKILL`` instead is exactly
 the chaos I6 scenario — the next start's ``recover()`` converges every
@@ -35,6 +42,7 @@ Routes::
 from __future__ import annotations
 
 import json
+import os
 import signal
 import threading
 import time
@@ -47,7 +55,11 @@ from repro.service.admission import AdmissionPolicy
 from repro.service.api import ServiceAPI
 from repro.service.jobstore import JobStore
 from repro.service.retention import RetentionPolicy, gc
-from repro.service.scheduler import JobScheduler, SchedulerConfig
+from repro.service.scheduler import (
+    JobScheduler,
+    SchedulerConfig,
+    preload_job_runtime,
+)
 from repro.util.diskstat import STATE_OK
 
 
@@ -142,12 +154,19 @@ class ServiceDaemon:
         self.store = JobStore(root)
         self.store.ensure_layout()
         self.policy = policy or AdmissionPolicy()
-        self.api = ServiceAPI(self.store, self.policy)
+        # Self-pipe: any thread (HTTP handlers, signal handlers) wakes
+        # the scheduler loop by writing one byte to it.
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
+        # Reentrant: a signal handler may wake on the main thread.
+        self._wake_lock = threading.RLock()
+        self.api = ServiceAPI(self.store, self.policy, notify=self.wake)
         self.scheduler = JobScheduler(self.store, scheduler_config)
         self.tick_interval = tick_interval
         self.retention = retention
         self.retention_interval = retention_interval
-        self._next_gc = 0.0  # first tick runs GC (finishes interrupted work)
+        self._next_gc = 0.0  # first pass runs GC (finishes interrupted work)
         self.gc_passes = 0
         self.scrubber = None
         if scrub_interval is not None:
@@ -192,12 +211,37 @@ class ServiceDaemon:
 
     def request_stop(self, *_sig: object) -> None:
         self._stop.set()
+        self.wake()
+
+    def wake(self) -> None:
+        """Make the scheduler loop run a pass now (thread-safe)."""
+        with self._wake_lock:
+            if self._wake_w < 0:
+                return  # closed: the loop is gone
+            try:
+                os.write(self._wake_w, b"\0")
+            except BlockingIOError:
+                pass  # pipe full: a wake-up is already pending
+
+    def _drain_wakeups(self) -> None:
+        try:
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
+
+    def _wait_timeout(self) -> float:
+        """The liveness ceiling, shortened to the next GC when one is due."""
+        timeout = self.tick_interval
+        if self.retention is not None and self.retention.enabled:
+            timeout = min(timeout, self._next_gc - time.monotonic())
+        return max(0.0, timeout)
 
     # ------------------------------------------------------------ retention
     def _maybe_gc(self) -> None:
         """Run a GC pass when due — immediately under disk pressure.
 
-        GC runs on the scheduler thread between ticks so the record
+        GC runs on the scheduler thread between passes so the record
         store keeps exactly one writer; a pass on a small store is
         milliseconds, and a large reclamation is work the service
         *needs* stalled claims for anyway.
@@ -217,7 +261,7 @@ class ServiceDaemon:
 
     # ----------------------------------------------------------------- run
     def serve_forever(self, install_signals: bool = True) -> None:
-        """Recover, then tick until stopped; drain on the way out."""
+        """Recover, then run passes until stopped; drain on the way out."""
         if install_signals:
             signal.signal(signal.SIGTERM, self.request_stop)
             signal.signal(signal.SIGINT, self.request_stop)
@@ -230,10 +274,13 @@ class ServiceDaemon:
         if self.scrubber is not None:
             self.scrubber.start()
         try:
+            preload_job_runtime()
             self.scheduler.recover()
-            while not self._stop.wait(self.tick_interval):
+            while not self._stop.is_set():
                 self.scheduler.tick()
                 self._maybe_gc()
+                self.scheduler.wait(self._wait_timeout(), (self._wake_r,))
+                self._drain_wakeups()
         finally:
             if self.scrubber is not None:
                 self.scrubber.stop()
@@ -241,9 +288,19 @@ class ServiceDaemon:
             self.httpd.shutdown()
             self.httpd.server_close()
             http_thread.join(5.0)
+            self._close_pipe()
+
+    def _close_pipe(self) -> None:
+        with self._wake_lock:
+            fds = (self._wake_r, self._wake_w)
+            self._wake_r = self._wake_w = -1
+        for fd in fds:
+            if fd >= 0:
+                os.close(fd)
 
     def close(self) -> None:
         """Release sockets without the serve loop (tests, failed starts)."""
         if self.scrubber is not None:
             self.scrubber.stop(timeout=0.1)
         self.httpd.server_close()
+        self._close_pipe()

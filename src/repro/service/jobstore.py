@@ -20,7 +20,10 @@ State machine (every transition validated, every transition durable)::
 
 ``SUBMITTED`` exists on disk only in the gap between the exclusive
 record creation and the first durable save; scheduler recovery promotes
-any survivor of a crash in that gap to ``QUEUED``. Terminal states
+any survivor of a crash in that gap to ``QUEUED``. Creation is
+all-or-nothing: the sealed record is written and fsynced under a tmp
+name and hard-linked into place, so no reader ever sees an empty or
+half-written record. Terminal states
 (``SUCCEEDED``/``FAILED``/``CANCELLED``/``ORPHANED``) never transition
 again.
 
@@ -30,6 +33,18 @@ silently dropped. Cancellation is requested through a sibling marker
 file (``<job_id>.cancel``) so the scheduler stays the *single writer*
 of every record after submission; there is no load-modify-save race
 between the API and the scheduler.
+
+Loads go through a per-store cache of parsed records keyed by the
+file's ``(st_ino, st_size, st_mtime_ns, st_ctime_ns)``. Every save is a
+tmp write + atomic rename, so a changed record is a different file
+(new inode, new timestamps), and any in-place change to a file — a
+torn write, a flipped byte — updates its mtime and ctime. A record is
+only cached once its ctime is older than :data:`RACY_WINDOW_NS`, so a
+later change can never land within the same timestamp tick and keep
+the key (the "racy git" rule). A matching key therefore means the
+bytes verified earlier are the bytes on disk; every other load
+re-reads and re-verifies, and damage is still backed up. Each load
+returns a fresh copy, so callers may mutate what they get.
 """
 
 from __future__ import annotations
@@ -39,13 +54,13 @@ import os
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 from repro.chaos.points import crash_point
 from repro.suite.run_params import RunParams
-from repro.util.fsio import write_durable_text
+from repro.util.fsio import fsync_dir, tmp_sibling, write_durable_text
 
 JOBS_DIR = "jobs"
 CAMPAIGNS_DIR = "campaigns"
@@ -58,6 +73,10 @@ RECORD_FORMAT = "rajaperf-job"
 RECORD_VERSION = 1
 TOMBSTONE_FORMAT = "rajaperf-tombstone"
 TOMBSTONE_VERSION = 1
+
+#: a record whose ctime is younger than this is not cached: a change in
+#: the same filesystem timestamp tick could otherwise keep its stat key
+RACY_WINDOW_NS = 50_000_000
 
 STATE_SUBMITTED = "SUBMITTED"
 STATE_QUEUED = "QUEUED"
@@ -209,6 +228,12 @@ class JobRecord:
         if reason is not None:
             self.reason = reason
 
+    def copy(self) -> "JobRecord":
+        """An independent copy (spec and progress are copied deeply)."""
+        return replace(
+            self, spec=_json_copy(self.spec), progress=_json_copy(self.progress)
+        )
+
     def to_payload(self) -> dict[str, Any]:
         return {
             "job_id": self.job_id,
@@ -244,6 +269,15 @@ class JobRecord:
             created_at=str(payload.get("created_at", "")),
             updated_at=str(payload.get("updated_at", "")),
         )
+
+
+def _json_copy(value: Any) -> Any:
+    """Deep copy of a JSON value (dicts, lists and scalars)."""
+    if isinstance(value, dict):
+        return {k: _json_copy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_copy(v) for v in value]
+    return value
 
 
 # ----------------------------------------------------------------- sealing
@@ -327,6 +361,10 @@ def parse_tombstone_text(text: str) -> dict[str, Any]:
     return payload
 
 
+def _stat_key(st: os.stat_result) -> tuple[int, int, int, int]:
+    return (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
 def _wallclock() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S")
 
@@ -354,6 +392,10 @@ class JobStore:
         self.root = Path(root)
         self.jobs_dir = self.root / JOBS_DIR
         self.campaigns_dir = self.root / CAMPAIGNS_DIR
+        # job_id -> (stat key, verified record); see the module docstring.
+        # Only single get/set/pop operations touch it, so the HTTP
+        # threads and the scheduler need no lock around it.
+        self._cache: dict[str, tuple[tuple[int, int, int, int], JobRecord]] = {}
 
     def ensure_layout(self) -> None:
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
@@ -390,9 +432,9 @@ class JobStore:
         A caller-chosen ``job_id`` makes submission idempotent: retrying
         a submit whose acknowledgment was lost returns the existing
         record instead of double-queuing the campaign. The record file
-        is claimed with ``O_CREAT | O_EXCL`` so two racing submitters of
-        one id cannot interleave, then the QUEUED transition lands via
-        the full durable-write protocol.
+        is created whole and exclusively (see :meth:`_create`) so two
+        racing submitters of one id cannot interleave, then the QUEUED
+        transition lands via the full durable-write protocol.
         """
         params_from_spec(spec, self.root / "probe")  # validation only
         self.ensure_layout()
@@ -429,15 +471,22 @@ class JobStore:
             updated_at=_wallclock(),
         )
         path = self.record_path(job_id)
+        tmp = tmp_sibling(path)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            try:
+                os.write(fd, seal_record(record).encode("utf-8"))
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            # link() is the exclusive step: the record appears complete
+            # or not at all, and an existing record is never replaced.
+            os.link(tmp, path)
         except FileExistsError:
             return None
-        try:
-            os.write(fd, seal_record(record).encode("utf-8"))
-            os.fsync(fd)
         finally:
-            os.close(fd)
+            tmp.unlink(missing_ok=True)
+        fsync_dir(self.jobs_dir)
         return record
 
     def _next_seq(self) -> int:
@@ -462,12 +511,24 @@ class JobStore:
         """The job's record, or None (unknown, or damaged-and-backed-up)."""
         path = self.record_path(job_id)
         try:
-            text = path.read_text()
+            key = _stat_key(os.stat(path))
         except OSError:
+            self._cache.pop(job_id, None)
+            return None
+        cached = self._cache.get(job_id)
+        if cached is not None and cached[0] == key:
+            return cached[1].copy()
+        try:
+            with open(path, "rb") as handle:
+                st = os.fstat(handle.fileno())
+                text = handle.read().decode("utf-8", errors="replace")
+        except OSError:
+            self._cache.pop(job_id, None)
             return None
         try:
-            return parse_record_text(text)
+            record = parse_record_text(text)
         except JobRecordDamaged as exc:
+            self._cache.pop(job_id, None)
             backup = path.with_suffix(path.suffix + ".bak")
             try:
                 os.replace(path, backup)
@@ -478,6 +539,9 @@ class JobStore:
                 f"damaged job record {path} ({exc}){saved}", stacklevel=2
             )
             return None
+        if time.time_ns() - st.st_ctime_ns >= RACY_WINDOW_NS:
+            self._cache[job_id] = (_stat_key(st), record.copy())
+        return record
 
     def list_ids(self) -> list[str]:
         if not self.jobs_dir.is_dir():
@@ -507,7 +571,7 @@ class JobStore:
 
     # --------------------------------------------------------------- cancel
     def request_cancel(self, job_id: str) -> JobRecord:
-        """Drop the cancel marker; the scheduler applies it on its tick.
+        """Drop the cancel marker; the scheduler applies it on its next pass.
 
         The marker keeps the scheduler the single writer of the record:
         any process may *request*, only the scheduler *transitions*.
@@ -518,6 +582,15 @@ class JobStore:
         if not record.terminal:
             self.cancel_path(job_id).touch()
         return record
+
+    def cancel_requested_ids(self) -> list[str]:
+        """Ids of every job with a pending cancel marker."""
+        if not self.jobs_dir.is_dir():
+            return []
+        return sorted(
+            p.name[: -len(CANCEL_SUFFIX)]
+            for p in self.jobs_dir.glob(f"*{CANCEL_SUFFIX}")
+        )
 
     def cancel_requested(self, job_id: str) -> bool:
         return self.cancel_path(job_id).exists()

@@ -23,6 +23,14 @@ markers, and reaps exits:
   cells are never re-run, until ``max_job_attempts`` is exhausted and
   the job parks as ORPHANED for a human.
 
+The loop is event-driven: :meth:`JobScheduler.wait` sleeps in one
+``multiprocessing.connection.wait`` over every running job runner's
+process sentinel plus any caller-supplied wakers (the daemon's
+self-pipe, written on submit and cancel), so a job is reaped the moment
+its runner exits and a new job is claimed the moment it lands. The
+caller's timeout is only a liveness ceiling; internal deadlines (a
+locked-campaign retry, the next progress heartbeat) shorten it.
+
 ``recover()`` is the restart path: promote SUBMITTED strays, take over
 dead RUNNING leases, heal. ``drain()`` is the graceful-shutdown path:
 stop every child and requeue its job so a restarted daemon resumes it.
@@ -35,6 +43,7 @@ on as unaccounted work.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
@@ -42,7 +51,9 @@ import sys
 import threading
 import time
 import traceback
+from collections.abc import Sequence
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_ready
 from typing import Any
 
 from repro.chaos.points import crash_point
@@ -161,7 +172,7 @@ class JobScheduler:
 
     # ----------------------------------------------------------------- tick
     def tick(self) -> None:
-        """One scheduler heartbeat: reap, cancel, progress, claim."""
+        """One scheduler pass: reap, cancel, progress, claim."""
         self._reap()
         self._apply_cancels()
         self._progress()
@@ -220,18 +231,20 @@ class JobScheduler:
 
     def _apply_cancels(self) -> None:
         """Apply cancel markers; only the scheduler transitions records."""
-        for record in self.store.list_jobs():
-            if not self.store.cancel_requested(record.job_id):
-                continue
-            if record.job_id in self._children:
+        for job_id in self.store.cancel_requested_ids():
+            if job_id in self._children:
                 # Reap turns the killed child into CANCELLED.
-                self._children[record.job_id].terminate()
-            elif record.state in (STATE_SUBMITTED, STATE_QUEUED):
+                self._children[job_id].terminate()
+                continue
+            record = self.store.load(job_id)
+            if record is None:
+                continue
+            if record.state in (STATE_SUBMITTED, STATE_QUEUED):
                 record.transition(STATE_CANCELLED, reason="cancelled")
                 self.store.save(record)
-                self.store.clear_cancel(record.job_id)
+                self.store.clear_cancel(job_id)
             elif record.terminal:
-                self.store.clear_cancel(record.job_id)
+                self.store.clear_cancel(job_id)
 
     # ------------------------------------------------------------- progress
     def _campaign_total(self, record: JobRecord) -> int:
@@ -344,8 +357,41 @@ class JobScheduler:
             self._leases[record.job_id] = lease
 
     # ----------------------------------------------------------------- loop
+    def _next_deadline(self, now: float) -> float:
+        """The earliest future moment a pass has timed work to do."""
+        progress_due = (
+            self._last_progress.get(job_id, 0.0) + self.config.progress_interval
+            for job_id in self._children
+        )
+        return min(
+            (t for t in (*self._retry_at.values(), *progress_due) if t > now),
+            default=math.inf,
+        )
+
+    def wait(self, timeout: float, wakers: Sequence[Any] = ()) -> None:
+        """Block until the next pass has work, at most ``timeout`` seconds.
+
+        Wakes on any running job runner's exit (its process sentinel),
+        on any ready object in ``wakers``, and at the next internal
+        deadline. An exited runner is collected before returning, so the
+        following :meth:`tick` reaps it.
+        """
+        now = time.monotonic()
+        timeout = max(0.0, min(timeout, self._next_deadline(now) - now))
+        sentinels = {c.sentinel: c for c in self._children.values()}
+        for ready in wait_ready([*sentinels, *wakers], timeout):
+            child = sentinels.get(ready)
+            if child is not None:
+                # A closed sentinel means the runner is exiting; join
+                # collects its status so is_alive() is False at reap.
+                child.join()
+
     def run_until_idle(self, timeout: float = 300.0, poll: float = 0.05) -> bool:
-        """Tick until every job is terminal (True) or ``timeout`` (False)."""
+        """Run passes until every job is terminal (True) or ``timeout`` (False).
+
+        Passes are event-driven like the daemon's; ``poll`` is only the
+        ceiling between them.
+        """
         deadline = time.monotonic() + timeout
         while True:
             self.tick()
@@ -353,9 +399,10 @@ class JobScheduler:
                 r.terminal for r in self.store.list_jobs()
             ):
                 return True
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 return False
-            time.sleep(poll)
+            self.wait(min(poll, deadline - now))
 
     # ---------------------------------------------------------------- drain
     def drain(self) -> list[str]:
@@ -400,6 +447,31 @@ class JobScheduler:
 
 
 # ------------------------------------------------------------ the job child
+def preload_job_runtime() -> None:
+    """Import everything a job runner imports, before the first fork.
+
+    Job runners are forked from the scheduler's process, so modules
+    loaded here are inherited copy-on-write instead of being imported
+    (and, without cached bytecode, compiled) again by every job. The set
+    is what a single-worker campaign, model-only or executed, loads
+    lazily: the kernel registry and the executor's deferred imports.
+    Multi-worker and sharded specs still import the supervisor and the
+    coordinator themselves; preloading those too would add about 1.7 MiB
+    to the daemon for jobs that rarely need them.
+    """
+    import numpy.random  # noqa: F401 - perfmodel.noise draws from it
+
+    import repro.caliper.calipack  # noqa: F401 - ArchiveSink (packed runs)
+    import repro.dataframe  # noqa: F401 - the campaign summary table
+    import repro.perfmodel.calibrated  # noqa: F401 - trait overlay
+    import repro.perfmodel.noise  # noqa: F401 - trial noise
+    import repro.suite.executor  # noqa: F401
+    import repro.suite.refchecksums  # noqa: F401 - executed checksums
+    from repro.suite.registry import load_all_kernels
+
+    load_all_kernels()
+
+
 class _OrphanWatch(threading.Thread):
     """Exit ``JOB_ORPHANED`` the moment our scheduler stops being our parent.
 

@@ -312,6 +312,26 @@ def _sweep_orphan_tmps(directory: Path, report: FsckReport) -> None:
             report.removed_tmp.append(tmp)
 
 
+def _sweep_dead_writer_tmps(directory: Path, report: FsckReport) -> None:
+    """Delete tmp siblings whose writer process is gone.
+
+    A live daemon writes records into the job store all the time, so a
+    tmp is only an orphan once the pid in its ``<name>.<pid>.<n>.tmp``
+    name is dead (record creation and every save leave one behind when
+    the writer crashes between the tmp write and the link or rename).
+    """
+    for tmp in sorted(directory.glob(TMP_GLOB)):
+        parts = tmp.name.split(".")
+        pid = int(parts[-3]) if len(parts) >= 4 and parts[-3].isdigit() else None
+        if _pid_alive(pid):
+            continue
+        try:
+            tmp.unlink()
+        except OSError:  # pragma: no cover - racing cleanup
+            continue
+        report.removed_tmp.append(tmp)
+
+
 def _fsck_shards(
     directory: Path,
     quarantine: bool,
@@ -433,6 +453,9 @@ def _fsck_jobs(
     store = JobStore(directory)
     if not store.jobs_dir.is_dir():
         return
+
+    if quarantine:
+        _sweep_dead_writer_tmps(store.jobs_dir, report)
 
     records = {}
     for path in sorted(store.jobs_dir.glob(f"*{RECORD_SUFFIX}")):

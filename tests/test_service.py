@@ -14,7 +14,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -25,12 +30,14 @@ from repro.service.admission import AdmissionDecision, AdmissionPolicy
 from repro.service.api import ServiceAPI, analysis_payload
 from repro.service.daemon import ServiceDaemon
 from repro.service.jobstore import (
+    RACY_WINDOW_NS,
     STATE_CANCELLED,
     STATE_ORPHANED,
     STATE_QUEUED,
     STATE_RUNNING,
     STATE_SUBMITTED,
     STATE_SUCCEEDED,
+    TERMINAL_STATES,
     TRANSITIONS,
     JobError,
     JobRecord,
@@ -167,6 +174,95 @@ def test_damaged_record_is_backed_up_not_trusted(tmp_path):
         assert store.load(record.job_id) is None
     assert path.with_suffix(".json.bak").exists()
     assert not path.exists()
+
+
+def _hammer_list_jobs(root: str, stop, loads) -> None:
+    store = JobStore(root)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while not stop.is_set():
+            store.list_jobs()
+            loads.value += 1
+
+
+def test_record_creation_is_atomic_under_concurrent_listing(tmp_path):
+    # A reader listing the store must never see a record half-born: an
+    # empty file it would call damaged and move to .bak just as the
+    # QUEUED save lands, losing the job.
+    store = _store(tmp_path)
+    stop, loads = _CTX.Event(), _CTX.Value("i", 0)
+    reader = _CTX.Process(
+        target=_hammer_list_jobs, args=(str(tmp_path), stop, loads)
+    )
+    reader.start()
+    try:
+        ids = [f"race-{n:04d}" for n in range(320)]
+        for job_id in ids:
+            store.submit(_spec(), job_id=job_id)
+    finally:
+        stop.set()
+        reader.join(30.0)
+    assert not reader.is_alive()
+    assert loads.value > 0
+    assert sorted(store.jobs_dir.glob("*.bak")) == []
+    assert sorted(store.jobs_dir.glob("*.tmp")) == []
+    jobs = store.list_jobs()
+    assert [r.job_id for r in jobs] == ids
+    assert {r.state for r in jobs} == {STATE_QUEUED}
+
+
+def test_fsck_sweeps_creation_tmps_of_dead_writers(tmp_path):
+    store = _store(tmp_path)
+    live = store.submit(_spec(), job_id="live")
+    sealed = seal_record(live)
+    dead = store.jobs_dir / f"lost.json.{_dead_pid()}.0.tmp"
+    dead.write_text(sealed)
+    ours = store.jobs_dir / f"busy.json.{os.getpid()}.0.tmp"
+    ours.write_text(sealed)  # a live writer's in-flight tmp
+    report = fsck_directory(tmp_path)
+    assert dead in report.removed_tmp and not dead.exists()
+    assert ours.exists()
+    assert store.list_ids() == ["live"]
+
+
+def test_record_cache_never_hides_damage(tmp_path, monkeypatch):
+    from repro.service import jobstore
+
+    store = _store(tmp_path)
+    store.submit(_spec(), job_id="cached")
+    time.sleep(RACY_WINDOW_NS / 1e9 + 0.02)  # old enough to be cached
+    first = store.load("cached")
+    parses = []
+    real_parse = jobstore.parse_record_text
+    monkeypatch.setattr(
+        jobstore,
+        "parse_record_text",
+        lambda text: parses.append(1) or real_parse(text),
+    )
+    # Callers own their copies: mutating one changes no later load.
+    first.spec["kernels"].append("Bogus_KERNEL")
+    first.progress["ok"] = 99
+    first.state = STATE_CANCELLED
+    again = store.load("cached")
+    assert parses == []  # served from the cache
+    assert again.state == STATE_QUEUED
+    assert again.spec == _spec() and again.progress == {}
+    again.spec["kernels"].clear()
+    assert store.load("cached").spec == _spec()
+    # Flip one byte of the payload in place, keeping the size.
+    path = store.record_path("cached")
+    raw = path.read_bytes()
+    offset = raw.index(b'"default"') + 1
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        handle.write(bytes([raw[offset] ^ 0x01]))
+    assert path.stat().st_size == len(raw)
+    with pytest.warns(UserWarning, match="damaged job record"):
+        assert store.load("cached") is None
+    assert parses == [1]  # the changed file was re-verified
+    assert path.with_suffix(".json.bak").exists()
+    assert not path.exists()
+    assert store.load("cached") is None
 
 
 def test_job_lease_is_exclusive_with_takeover(tmp_path):
@@ -456,6 +552,120 @@ def test_daemon_serves_http_and_drains_on_stop(tmp_path):
         daemon.request_stop()
         thread.join(30.0)
     assert not thread.is_alive()
+
+
+def _start_daemon(daemon: ServiceDaemon) -> threading.Thread:
+    thread = threading.Thread(
+        target=daemon.serve_forever, kwargs={"install_signals": False}
+    )
+    thread.start()
+    return thread
+
+
+def _await_state(store: JobStore, job_id: str, states, timeout: float):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        record = store.load(job_id)
+        if record is not None and record.state in states:
+            return record
+        time.sleep(0.01)
+    return store.load(job_id)
+
+
+def test_daemon_wakes_on_submit_and_runner_exit_not_on_its_tick(tmp_path):
+    # With a 30 s ceiling, only the self-pipe (submit) and the runner's
+    # process sentinel (exit) can move a job along within seconds.
+    daemon = ServiceDaemon(tmp_path, port=0, tick_interval=30.0)
+    thread = _start_daemon(daemon)
+    try:
+        for job_id in ("first", "second"):  # the second finds the loop idle
+            start = time.monotonic()
+            assert daemon.api.submit(_spec(), job_id=job_id)[0] == 200
+            final = _await_state(daemon.store, job_id, TERMINAL_STATES, 5.0)
+            assert final.state == STATE_SUCCEEDED
+            assert time.monotonic() - start < 5.0
+    finally:
+        daemon.request_stop()
+        thread.join(30.0)
+    assert not thread.is_alive()
+
+
+def test_daemon_cancels_a_running_job_without_waiting_for_its_tick(tmp_path):
+    daemon = ServiceDaemon(tmp_path, port=0, tick_interval=30.0)
+    thread = _start_daemon(daemon)
+    try:
+        # Every kernel x 200 trials: a job that runs for many seconds.
+        spec = _spec(kernels=[], trials=200)
+        assert daemon.api.submit(spec, job_id="long")[0] == 200
+        running = _await_state(daemon.store, "long", (STATE_RUNNING,), 5.0)
+        assert running.state == STATE_RUNNING
+        start = time.monotonic()
+        assert daemon.api.cancel("long")[0] == 200
+        final = _await_state(daemon.store, "long", TERMINAL_STATES, 5.0)
+        assert final.state == STATE_CANCELLED
+        assert time.monotonic() - start < 5.0
+        assert not daemon.store.cancel_requested("long")
+    finally:
+        daemon.request_stop()
+        thread.join(30.0)
+    assert not thread.is_alive()
+
+
+_FORK_PROBE = r"""
+import json, os, sys
+
+import repro.service.daemon  # what `serve` holds before its first claim
+from repro.service.jobstore import params_from_spec
+from repro.service.scheduler import preload_job_runtime
+
+
+def repro_modules_a_job_adds(campaign_dir):
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # a job runner: the same imports and run as _job_main
+        os.close(read)
+        before = set(sys.modules)
+        from repro.suite.executor import SuiteExecutor
+
+        SuiteExecutor(params_from_spec(spec, campaign_dir)).run(
+            write_files=True
+        )
+        added = sorted(
+            m for m in set(sys.modules) - before if m.split(".")[0] == "repro"
+        )
+        with os.fdopen(write, "w") as handle:
+            json.dump(added, handle)
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as handle:
+        added = json.load(handle)
+    os.waitpid(pid, 0)
+    return added
+
+
+spec, root = json.loads(sys.argv[1]), sys.argv[2]
+cold = repro_modules_a_job_adds(os.path.join(root, "cold"))
+preload_job_runtime()
+warm = repro_modules_a_job_adds(os.path.join(root, "warm"))
+print(json.dumps({"cold": cold, "warm": warm}))
+"""
+
+
+def test_preloaded_daemon_forks_warm_job_runners(tmp_path):
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE, json.dumps(_spec(pack=True)),
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    added = json.loads(out.stdout.strip().splitlines()[-1])
+    # Without the preload a job imports the kernel registry itself ...
+    assert any(m.startswith("repro.kernels.") for m in added["cold"])
+    # ... after it, the forked runner imports no repro module at all.
+    assert added["warm"] == []
 
 
 # ------------------------------------------------------------ fsck audit
