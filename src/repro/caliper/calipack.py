@@ -140,12 +140,20 @@ class CalipackWriter:
     keeps the in-memory index authoritative. Entries replace earlier
     ones of the same name (last-wins — a retried cell supersedes the
     crashed attempt's profile).
+
+    Each entry's index schema (attrs + metric names) comes from the
+    appender when it already knows it — :meth:`append_profile` derives
+    it from the profile it serializes, a merge carries it from a source
+    index entry whose CRC32 the bytes match — and is parsed out of the
+    entry bytes at seal time otherwise.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._entries: dict[str, ArchiveEntry] = {}
+        #: entry name -> (attrs, metrics, globals) known at append time
+        self._schemas: dict[str, EntrySchema] = {}
         if self.path.exists():
             entries, good_end = scan_entries(self.path)
             for entry in entries:
@@ -169,8 +177,21 @@ class CalipackWriter:
     def entries(self) -> list[ArchiveEntry]:
         return list(self._entries.values())
 
-    def append_bytes(self, name: str, data: bytes) -> ArchiveEntry:
-        """Append one sealed ``.cali`` blob under ``name``."""
+    def append_bytes(
+        self,
+        name: str,
+        data: bytes,
+        schema: EntrySchema | None = None,
+        source: ArchiveEntry | None = None,
+    ) -> ArchiveEntry:
+        """Append one sealed ``.cali`` blob under ``name``.
+
+        ``schema`` is the blob's :func:`extract_entry_schema` result when
+        the caller already has it. ``source`` is the index entry the blob
+        was copied from: its schema is carried over only when it has one
+        and ``data`` matches its CRC32, so damaged bytes and pre-schema
+        indexes are parsed at seal time like any other entry.
+        """
         from repro.faults import active_injector
 
         if self._closed:
@@ -208,30 +229,53 @@ class CalipackWriter:
             crc32=zlib.crc32(data) & 0xFFFFFFFF,
         )
         self._entries[name] = entry
+        if (
+            schema is None
+            and source is not None
+            and source.crc32 == entry.crc32
+            and source.attrs is not None
+            and source.metrics is not None
+        ):
+            schema = (source.attrs, source.metrics, list(source.attrs))
+        if schema is None:
+            self._schemas.pop(name, None)
+        else:
+            self._schemas[name] = schema
         return entry
 
     def append_profile(self, name: str, profile: CaliProfile,
                        corrupt_crc: bool = False) -> ArchiveEntry:
-        return self.append_bytes(name, serialize_cali(profile, corrupt_crc))
+        return self.append_sealed(name, profile, corrupt_crc)[0]
+
+    def append_sealed(
+        self, name: str, profile: CaliProfile, corrupt_crc: bool = False
+    ) -> tuple[ArchiveEntry, bytes]:
+        """Serialize ``profile`` once, append it with its schema, and
+        hand back the sealed bytes written."""
+        data = serialize_cali(profile, corrupt_crc)
+        schema = None if corrupt_crc else profile_schema(profile)
+        return self.append_bytes(name, data, schema=schema), data
 
     def _collect_schemas(
         self,
     ) -> tuple[dict[str, tuple[dict, list[str]]], dict[str, list[str]]]:
         """Indexed (attrs, metrics) per entry + the archive column registry.
 
-        Both are recomputed from the stored entry bytes at seal time —
-        never carried from a source index — so the sealed index is a
-        pure function of the entry set and canonical merges stay
-        byte-deterministic. Unparseable (damaged) entries contribute
-        nothing and simply get no schema.
+        Schemas known at append time are used as they are; every other
+        entry is parsed from its stored bytes here. Either way a schema
+        equals :func:`extract_entry_schema` of the entry bytes, so the
+        sealed index is a pure function of the entry set and canonical
+        merges stay byte-deterministic. Unparseable (damaged) entries
+        contribute nothing and simply get no schema.
         """
         schema_by_name: dict[str, tuple[dict, list[str]]] = {}
         metrics: dict[str, None] = {}
         globals_: dict[str, None] = {}
         for entry in self._entries.values():
-            self._handle.seek(entry.offset)
-            data = self._handle.read(entry.length)
-            schema = extract_entry_schema(data)
+            schema = self._schemas.get(entry.name)
+            if schema is None:
+                self._handle.seek(entry.offset)
+                schema = extract_entry_schema(self._handle.read(entry.length))
             if schema is None:
                 continue
             attrs, entry_metrics, entry_globals = schema
@@ -325,12 +369,13 @@ class ArchiveSink:
 
     def append(
         self, name: str, profile: CaliProfile, corrupt_crc: bool = False
-    ) -> str:
-        """Append one cell's profile; returns its member ref."""
+    ) -> tuple[str, bytes]:
+        """Append one cell's profile; returns its member ref and the
+        sealed bytes written (a worker's result transport reuses them)."""
         if self._writer is None:
             self._writer = CalipackWriter(self.path)
-        self._writer.append_profile(name, profile, corrupt_crc)
-        return member_ref(self.ref_archive, name)
+        _, data = self._writer.append_sealed(name, profile, corrupt_crc)
+        return member_ref(self.ref_archive, name), data
 
     def close(self) -> None:
         if self._writer is not None:
@@ -437,9 +482,48 @@ def load_columns_registry(path: str | Path) -> dict[str, list[str]] | None:
     }
 
 
+#: ``(attrs, metric names, global names)`` of one entry
+EntrySchema = tuple[dict, list[str], list[str]]
+
+#: value types that survive a JSON round trip as themselves
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def profile_schema(profile: CaliProfile) -> EntrySchema | None:
+    """:func:`extract_entry_schema` of ``serialize_cali(profile)``,
+    computed from the profile instead of parsing its bytes.
+
+    Exact only while every global key and metric name is a ``str`` and
+    every global value is a plain JSON scalar or container, so that the
+    JSON round trip changes nothing the schema reads. Anything else
+    (numpy scalars, non-string keys) returns None and the writer parses
+    the bytes at seal time.
+    """
+    attrs: dict[str, object] = {}
+    for key, value in profile.globals.items():
+        if type(key) is not str:
+            return None
+        if type(value) in _JSON_SCALARS:
+            attrs[key] = value
+        elif type(value) in (dict, list, tuple):
+            attrs[key] = dict(NONSCALAR_ATTR)
+        else:
+            return None
+    metrics: dict[str, None] = {}
+    stack = list(reversed(profile.roots))
+    while stack:
+        node = stack.pop()
+        for name in node.metrics:
+            if type(name) is not str:
+                return None
+            metrics.setdefault(name)
+        stack.extend(reversed(node.children))
+    return attrs, list(metrics), list(attrs)
+
+
 def extract_entry_schema(
     data: bytes,
-) -> tuple[dict, list[str], list[str]] | None:
+) -> EntrySchema | None:
     """``(attrs, metric_names, global_names)`` from sealed ``.cali`` bytes.
 
     ``attrs`` maps each global to its scalar value, or to
@@ -698,26 +782,23 @@ def _rewrite_manifest_refs(directory: Path, archive: Path, pack: bool) -> None:
     """Point manifest ``file`` fields at the archive (or back at files)."""
     from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
 
-    if not (directory / MANIFEST_NAME).exists():
-        return
     try:
-        fingerprint = json.loads(
-            (directory / MANIFEST_NAME).read_text()
-        ).get("fingerprint", {})
+        manifest = CampaignManifest.read(directory / MANIFEST_NAME)
     except (OSError, ValueError):
         return
-    manifest = CampaignManifest.load_or_create(directory, fingerprint)
+    if manifest is None:
+        return
     changed = False
-    for entry in manifest.cells.values():
+    for key, entry in manifest.cells.items():
         file = entry.get("file")
         if not file:
             continue
         ref = split_member_ref(file)
         if pack and ref is None:
-            entry["file"] = member_ref(archive, Path(file).name)
+            manifest.set_file(key, member_ref(archive, Path(file).name))
             changed = True
         elif not pack and ref is not None:
-            entry["file"] = str(directory / ref[1])
+            manifest.set_file(key, str(directory / ref[1]))
             changed = True
     if changed:
         manifest.save()
@@ -759,9 +840,12 @@ def _merge_archives(sources: list[Path], target: Path) -> Path:
             source, entry = entries[name]
             # verify=False: damaged entries carry over byte-for-byte —
             # detecting and quarantining them is fsck's job, and a merge
-            # must never fail a campaign over one bad profile.
+            # must never fail a campaign over one bad profile. Their
+            # schemas carry over only where the CRC still matches.
             writer.append_bytes(
-                name, read_entry_bytes(source, entry, verify=False)
+                name,
+                read_entry_bytes(source, entry, verify=False),
+                source=entry,
             )
     except BaseException:
         writer.abort()

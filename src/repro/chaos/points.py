@@ -103,6 +103,14 @@ REGISTERED_POINTS: dict[str, PointSpec] = {
             description="durable write: before the directory fsync "
             "that makes the rename durable",
         ),
+        PointSpec(
+            "fsio.mid-append",
+            modes=("serial", "supervised", "sharded"),
+            torn=True,
+            description="durable append (the manifest journal): record "
+            "written past the log's good end, not yet fsynced (torn: a "
+            "partial last record)",
+        ),
         # ---- caliper/calipack.py: the packed archive ------------------
         PointSpec(
             "calipack.mid-entry-append",
@@ -163,8 +171,15 @@ REGISTERED_POINTS: dict[str, PointSpec] = {
         PointSpec(
             "manifest.pre-save",
             modes=("serial", "supervised", "sharded"),
-            description="manifest checkpoint: cell completed, ledger "
-            "not yet rewritten",
+            description="manifest checkpoint or compaction: cell "
+            "completed, ledger not yet journaled or rewritten",
+        ),
+        PointSpec(
+            "manifest.post-compact",
+            modes=("serial", "supervised", "sharded"),
+            description="manifest compaction: campaign_manifest.json "
+            "durably rewritten, journal not yet removed (replaying it "
+            "must change nothing)",
         ),
         # ---- suite/refchecksums.py: the Base_Seq sidecar --------------
         PointSpec(

@@ -956,13 +956,13 @@ class ChaosRunner:
     def _check_target_atomicity(self, outdir: Path) -> list[str]:
         """No durable *target* may ever be left torn by a crash.
 
-        In-flight state lives in tmp siblings and unsealed archive tails
-        — both are recoverable. A loose ``.cali`` under its final name
-        that does not verify, or a manifest that does not parse, means a
-        write was not atomic.
+        In-flight state lives in tmp siblings, unsealed archive tails
+        and torn manifest-journal tails — all recoverable. A loose
+        ``.cali`` under its final name that does not verify, or a
+        manifest that does not load, means a write was not atomic.
         """
         from repro.caliper.cali import STATUS_OK, verify_cali
-        from repro.suite.manifest import MANIFEST_NAME
+        from repro.suite.manifest import MANIFEST_NAME, CampaignManifest
 
         violations = []
         manifests = [outdir / MANIFEST_NAME]
@@ -980,10 +980,8 @@ class ChaosRunner:
                 if shard_dir.is_dir()
             ]
         for manifest in manifests:
-            if not manifest.exists():
-                continue
             try:
-                json.loads(manifest.read_text())
+                CampaignManifest.read(manifest)
             except ValueError as exc:
                 violations.append(
                     f"post-crash: manifest {manifest.name} torn: {exc}"

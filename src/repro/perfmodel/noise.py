@@ -40,8 +40,15 @@ def noisy_time(
     machine: str,
     trial: int,
     sigma: float = DEFAULT_SIGMA,
+    factor: float | None = None,
 ) -> float:
-    """A jittered copy of a predicted time."""
+    """A jittered copy of a predicted time.
+
+    ``factor`` is this key's :func:`noise_factor`, when the caller has
+    already drawn it (a campaign reuses one draw across variants).
+    """
     if seconds <= 0:
         raise ValueError(f"seconds must be > 0, got {seconds}")
-    return seconds * noise_factor(kernel, machine, trial, sigma)
+    if factor is None:
+        factor = noise_factor(kernel, machine, trial, sigma)
+    return seconds * factor

@@ -9,13 +9,14 @@ work longest-first and to pack shard bins evenly; absolute accuracy is
 irrelevant as long as the ranking is right and the estimate is a pure
 function of the run configuration.
 
-:class:`CellCostModel` derives that estimate from the kernels' existing
-analytic work annotations:
+:class:`CellCostModel` derives that estimate in *host* seconds, the
+unit a worker actually spends, without running the performance model:
 
-* the **modeled machine time** — :meth:`KernelBase.predict` folds the
-  :class:`~repro.perfmodel.work.WorkProfile` (flops + bytes at the
-  cell's problem size) through the machine model with the variant and
-  tuning multipliers ``perfmodel`` already applies;
+* a **record term** — every kernel record costs the host about the
+  same to model (memoised work, traits and prediction, plus the profile
+  write), whatever machine it simulates, so a cell costs its record
+  count times :data:`HOST_S_PER_RECORD`. The simulated machine time a
+  record *predicts* says nothing about the host work behind it;
 * when real execution is on, a **host execution term**: the analytic
   bytes+flops at the (capped) execution size over a nominal host
   throughput, plus a per-partition dispatch overhead — RAJA variants
@@ -36,10 +37,14 @@ key has one.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.suite.report import cell_key
+
+#: host time to model one kernel record and write it into a profile (s);
+#: about 0.1 ms on a 2-vCPU Xeon. Only ratios against the execution
+#: term matter.
+HOST_S_PER_RECORD = 1e-4
 
 #: nominal host streaming throughput for the execution term (bytes/s).
 #: Only the *ratio* against the dispatch overhead matters: it decides
@@ -83,15 +88,20 @@ def load_measured_costs(manifest_path: str | Path) -> dict[str, float]:
     """Measured per-cell wall times from a prior campaign's manifest.
 
     Returns ``{cell key: elapsed seconds}`` for every cell whose entry
-    carries ``elapsed_s``; unreadable or old-format manifests yield an
-    empty dict — the caller falls back to the analytic estimate.
+    carries ``elapsed_s`` (journal replayed); unreadable or old-format
+    manifests yield an empty dict — the caller falls back to the
+    analytic estimate.
     """
+    from repro.suite.manifest import CampaignManifest
+
     try:
-        payload = json.loads(Path(manifest_path).read_text())
+        manifest = CampaignManifest.read(manifest_path)
     except (OSError, ValueError):
         return {}
+    if manifest is None:
+        return {}
     out: dict[str, float] = {}
-    for key, entry in dict(payload.get("cells", {})).items():
+    for key, entry in manifest.cells.items():
         if not isinstance(entry, dict):
             continue
         elapsed = entry.get("elapsed_s")
@@ -113,6 +123,8 @@ class CellCostModel:
         self.measured = dict(measured or {})
         #: (machine, variant, block) -> analytic cost (trial-independent)
         self._cache: dict[tuple[str, str, int], float] = {}
+        #: variant name -> selected kernel classes (built on first use)
+        self._by_variant: dict[str, list] | None = None
 
     @classmethod
     def for_params(cls, params) -> "CellCostModel":
@@ -167,33 +179,25 @@ class CellCostModel:
     def _estimate(self, machine_name: str, variant_name: str, block: int) -> float:
         from repro.machines.registry import get_machine
         from repro.rajasim.forall import partition_plan
-        from repro.suite.registry import all_kernel_classes
+        from repro.suite.registry import kernels_by_variant
         from repro.suite.variants import VariantKind, get_variant
 
         params = self.params
-        machine = get_machine(machine_name)
+        get_machine(machine_name)  # an unknown machine has no estimate
         variant = get_variant(variant_name)
-        kernels = [
-            cls
-            for cls in all_kernel_classes()
-            if params.selects(cls)
-            and any(v.name == variant.name for v in cls.class_variants())
-        ]
+        if self._by_variant is None:
+            self._by_variant = kernels_by_variant(params.selects)
+        kernels = self._by_variant.get(variant.name, [])
         if not kernels:
             return DEFAULT_CELL_COST_S
 
-        total = 0.0
-        exec_size = params.execution_size if params.execute else 0
-        policy = variant.policy()
-        if variant.is_gpu and block:
-            policy = policy.with_block_size(block)
-        for cls in kernels:
-            kernel = cls(problem_size=params.problem_size)
-            breakdown = kernel.predict(
-                machine, variant, block_size=block or None
-            )
-            total += breakdown.total_seconds * params.reps
-            if exec_size:
+        total = len(kernels) * HOST_S_PER_RECORD
+        if params.execute:
+            exec_size = params.execution_size
+            policy = variant.policy()
+            if variant.is_gpu and block:
+                policy = policy.with_block_size(block)
+            for cls in kernels:
                 exec_kernel = cls(problem_size=exec_size)
                 work = exec_kernel.work_profile()
                 total += (work.bytes_total + work.flops) / HOST_BYTES_PER_S
@@ -207,4 +211,4 @@ class CellCostModel:
                 else:
                     parts = 1
                 total += parts * work.launches * DISPATCH_OVERHEAD_S
-        return max(total, 1e-12)
+        return total

@@ -46,6 +46,8 @@ from repro.gpusim.ncu import ncu_counters
 from repro.machines.model import MachineKind, MachineModel
 from repro.machines.registry import get_machine
 from repro.perfmodel.cpu_time import CpuTimeModel
+from repro.perfmodel.traits import KernelTraits
+from repro.perfmodel.work import WorkProfile
 from repro.suite.checksum import checksums_match
 from repro.suite.errors import (
     ChecksumMismatchError,
@@ -56,7 +58,7 @@ from repro.suite.errors import (
     SuiteError,
 )
 from repro.suite.kernel_base import KernelBase
-from repro.suite.registry import all_kernel_classes
+from repro.suite.registry import all_kernel_classes, kernels_by_variant
 from repro.suite.session import CampaignSession
 from repro.suite.report import (
     STATUS_FAILED,
@@ -102,6 +104,22 @@ class _Cell:
         )
 
 
+@dataclass(frozen=True)
+class _KernelModel:
+    """One kernel class's model inputs at one (problem size, reps).
+
+    Pure functions of that key, so one campaign computes each once and
+    every (machine, variant, tuning, trial) record reuses it.
+    """
+
+    kernel: KernelBase
+    #: one repetition: the predictor's input
+    work_once: WorkProfile
+    #: ``reps`` repetitions: the profile's analytic metrics
+    work: WorkProfile
+    traits: KernelTraits
+
+
 @dataclass
 class CellOutcome:
     """Everything one cell's execution produced (serial or worker path)."""
@@ -114,6 +132,9 @@ class CellOutcome:
     #: measured wall time of the whole cell (kernels + profile write) —
     #: recorded in the manifest to feed a later run's ``--cost-from``
     elapsed_s: float | None = None
+    #: the profile's sealed bytes as a packed write stored them (None in
+    #: loose-file mode or when the seal was deliberately corrupted)
+    sealed: bytes | None = None
 
     @property
     def failed(self) -> bool:
@@ -172,9 +193,21 @@ class SuiteExecutor:
         self.profile_sink = None  # repro.caliper.calipack.ArchiveSink
         #: when set, Base_Seq references are shared across processes
         self.refstore = None  # repro.suite.refchecksums.ReferenceChecksumStore
+        # Model memo: every value is a pure function of its key, so a
+        # campaign computes it once instead of once per record.
+        self._by_variant: dict[str, list[type[KernelBase]]] | None = None
+        self._models: dict[tuple[type[KernelBase], int, int], _KernelModel] = {}
+        self._predicted: dict[tuple, float] = {}
+        self._noise: dict[tuple[str, str, int, float], float] = {}
 
     def selected_kernels(self) -> list[type[KernelBase]]:
         return [cls for cls in all_kernel_classes() if self.params.selects(cls)]
+
+    def kernels_for(self, variant: Variant) -> list[type[KernelBase]]:
+        """The selected kernels providing ``variant``, in registry order."""
+        if self._by_variant is None:
+            self._by_variant = kernels_by_variant(self.params.selects)
+        return self._by_variant.get(variant.name, [])
 
     def _active_injector(self) -> FaultInjector | None:
         return self.injector if self.injector is not None else active_injector()
@@ -287,11 +320,12 @@ class SuiteExecutor:
                         failed_kernels=outcome.failed_kernels,
                         elapsed_s=outcome.elapsed_s,
                     )
-                    manifest.save()
+                    manifest.checkpoint()
                     crash_point("executor.post-cell", path=manifest.path)
             # The loop completed: seal the archive in canonical form so
-            # every execution mode converges on the same bytes. The sink
-            # must close first — finalize rewrites the file it holds open.
+            # every execution mode converges on the same bytes, and
+            # compact the manifest. The sink must close first — finalize
+            # rewrites the file it holds open.
             if self.profile_sink is not None:
                 self.profile_sink.close()
                 self.profile_sink = None
@@ -316,11 +350,12 @@ class SuiteExecutor:
         cell_start = time.perf_counter()
         profile, records = self._run_one_cell(cell)
         written: Path | None = None
+        sealed: bytes | None = None
         write_error: str | None = None
         if write_files:
             target = Path(params.output_dir) / cell.fname
             try:
-                written = self._write_profile(profile, target, cell)
+                written, sealed = self._write_profile(profile, target, cell)
             except ProfileWriteError as err:
                 if params.fail_fast:
                     raise
@@ -347,14 +382,18 @@ class SuiteExecutor:
             written=written,
             write_error=write_error,
             elapsed_s=time.perf_counter() - cell_start,
+            sealed=sealed,
         )
 
-    def _write_profile(self, profile: CaliProfile, target: Path, cell: _Cell) -> Path:
+    def _write_profile(
+        self, profile: CaliProfile, target: Path, cell: _Cell
+    ) -> tuple[Path, bytes | None]:
         """Write one profile with the same bounded retry as kernels.
 
         Loose-file mode writes a sealed ``.cali``; packed mode appends
         the same sealed bytes to the campaign archive (returning the
-        member ref as the recorded path).
+        member ref as the recorded path, with the bytes it stored when
+        their seal is genuine).
         """
         policy = self.params.retry_policy()
         delays = policy.delays(salt=cell.key)
@@ -367,10 +406,11 @@ class SuiteExecutor:
                         injector is not None
                         and injector.footer_fault(cell.fname) is not None
                     )
-                    return Path(
-                        self.profile_sink.append(cell.fname, profile, corrupt)
+                    ref, data = self.profile_sink.append(
+                        cell.fname, profile, corrupt
                     )
-                return write_cali(profile, target)
+                    return Path(ref), (None if corrupt else data)
+                return write_cali(profile, target), None
             except OSError as exc:
                 if attempt >= policy.max_attempts:
                     raise ProfileWriteError(str(target), exc) from exc
@@ -435,9 +475,7 @@ class SuiteExecutor:
 
         cell_records: list[KernelRunRecord] = []
         with session.region("RAJAPerf"):
-            for cls in self.selected_kernels():
-                if not any(v.name == variant.name for v in cls.class_variants()):
-                    continue
+            for cls in self.kernels_for(variant):
                 record = KernelRunRecord(
                     kernel=cls.class_full_name(),
                     machine=machine.shorthand,
@@ -521,9 +559,8 @@ class SuiteExecutor:
                 hang = injector.hang_seconds(site)
                 if hang:
                     clock.advance(hang)
-            kernel = cls(problem_size=params.problem_size)
             self._record_kernel(
-                session, kernel, machine, variant, block, trial, site, record
+                session, cls, machine, variant, block, trial, site, record
             )
         except SuiteError:
             raise
@@ -542,10 +579,68 @@ class SuiteExecutor:
                     params.kernel_deadline_s,
                 )
 
+    # ------------------------------------------------------- model memo
+    def _kernel_model(self, cls: type[KernelBase]) -> _KernelModel:
+        """The memoised model kernel, work and traits of ``cls``."""
+        params = self.params
+        key = (cls, params.problem_size, params.reps)
+        model = self._models.get(key)
+        if model is None:
+            kernel = cls(problem_size=params.problem_size)
+            work_once = kernel.work_profile()
+            model = _KernelModel(
+                kernel=kernel,
+                work_once=work_once,
+                # kernels may override work_profile(reps), so ask for it
+                work=(
+                    kernel.work_profile(reps=params.reps)
+                    if params.reps != 1
+                    else work_once
+                ),
+                traits=kernel.effective_traits(),
+            )
+            self._models[key] = model
+        return model
+
+    def _predicted_seconds(
+        self,
+        model: _KernelModel,
+        machine: MachineModel,
+        variant: Variant,
+        block: int,
+    ) -> float:
+        """Memoised one-repetition predicted time of one model kernel."""
+        kernel = model.kernel
+        key = (type(kernel), kernel.problem_size, machine, variant.name, block)
+        seconds = self._predicted.get(key)
+        if seconds is None:
+            seconds = kernel.predict(
+                machine,
+                variant,
+                block_size=block or None,
+                work=model.work_once,
+                traits=model.traits,
+            ).total_seconds
+            self._predicted[key] = seconds
+        return seconds
+
+    def _noise_factor(self, kernel: str, machine: str, trial: int) -> float:
+        """Memoised trial jitter: every variant of one (kernel, machine,
+        trial) draws the same factor."""
+        from repro.perfmodel.noise import noise_factor
+
+        sigma = self.params.noise_sigma
+        key = (kernel, machine, trial, sigma)
+        factor = self._noise.get(key)
+        if factor is None:
+            factor = noise_factor(kernel, machine, trial, sigma)
+            self._noise[key] = factor
+        return factor
+
     def _record_kernel(
         self,
         session: CaliperSession,
-        kernel: KernelBase,
+        cls: type[KernelBase],
         machine: MachineModel,
         variant: Variant,
         block: int,
@@ -556,13 +651,19 @@ class SuiteExecutor:
         from repro.perfmodel.noise import noisy_time
 
         params = self.params
-        work = kernel.work_profile(reps=params.reps)
-        traits = kernel.effective_traits()
-        breakdown = kernel.predict(machine, variant, block_size=block or None)
-        total = breakdown.total_seconds * params.reps
+        model = self._kernel_model(cls)
+        kernel, work, traits = model.kernel, model.work, model.traits
+        total = self._predicted_seconds(model, machine, variant, block) * params.reps
         if params.trials > 1:
             total = noisy_time(
-                total, kernel.full_name, machine.shorthand, trial, params.noise_sigma
+                total,
+                kernel.full_name,
+                machine.shorthand,
+                trial,
+                params.noise_sigma,
+                factor=self._noise_factor(
+                    kernel.full_name, machine.shorthand, trial
+                ),
             )
 
         session.set_metric("Avg time/rank", total, accumulate=False)

@@ -72,6 +72,7 @@ from repro.suite.manifest import (
     MANIFEST_NAME,
     CampaignManifest,
     _pid_alive,
+    journal_path,
 )
 from repro.util.fsio import TMP_GLOB, durable_replace, tmp_sibling
 
@@ -208,17 +209,13 @@ def fsck_directory(
     report = FsckReport(directory=directory)
     manifest: CampaignManifest | None = None
     known: dict[str, str] = {}
-    if (directory / MANIFEST_NAME).exists():
+    if (directory / MANIFEST_NAME).exists() or journal_path(
+        directory / MANIFEST_NAME
+    ).exists():
         # fsck audits whatever configuration the manifest records: adopt
         # its own fingerprint so loading (and saving) never warns about a
         # configuration change fsck did not make.
-        try:
-            recorded = json.loads(
-                (directory / MANIFEST_NAME).read_text()
-            ).get("fingerprint", {})
-        except (OSError, ValueError):
-            recorded = {}
-        manifest = CampaignManifest.load_or_create(directory, recorded)
+        manifest = CampaignManifest.load_or_create(directory, None)
         known = _cell_by_file(manifest)
         report.manifest_found = True
 

@@ -193,10 +193,16 @@ class KernelBase:
         machine: MachineModel,
         variant: Variant | None = None,
         block_size: int | None = None,
+        *,
+        work: WorkProfile | None = None,
+        traits: KernelTraits | None = None,
     ) -> TimeBreakdown:
         """Predicted node-level time for one repetition on ``machine``.
 
         ``block_size`` applies the GPU tuning's occupancy derate.
+        ``work`` (one repetition) and ``traits`` let a caller that
+        already holds :meth:`work_profile` and :meth:`effective_traits`
+        skip recomputing them; both are pure in the kernel and its size.
         """
         from repro.rajasim.policies import Backend as _Backend
 
@@ -207,8 +213,8 @@ class KernelBase:
             else 0.0
         )
         return predict_time(
-            self.work_profile(),
-            self.effective_traits(),
+            work if work is not None else self.work_profile(),
+            traits if traits is not None else self.effective_traits(),
             machine,
             is_raja=is_raja,
             block_size=block_size,

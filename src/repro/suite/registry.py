@@ -8,6 +8,8 @@ paper uses (``Stream_TRIAD``) or the bare kernel name when unambiguous.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.suite.groups import Group
 from repro.suite.kernel_base import KernelBase
 
@@ -74,6 +76,24 @@ def make_kernel(name: str, problem_size: int | None = None) -> KernelBase:
 def all_kernel_classes() -> list[type[KernelBase]]:
     load_all_kernels()
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+
+
+def kernels_by_variant(
+    selects: Callable[[type[KernelBase]], bool],
+) -> dict[str, list[type[KernelBase]]]:
+    """Selected kernel classes keyed by the names of the variants they
+    provide, each list in registry order.
+
+    Campaign code asks "which kernels run variant X?" once per cell;
+    building this map once turns that into a dict lookup instead of a
+    scan of every class's variant list.
+    """
+    out: dict[str, list[type[KernelBase]]] = {}
+    for cls in all_kernel_classes():
+        if selects(cls):
+            for variant in cls.class_variants():
+                out.setdefault(variant.name, []).append(cls)
+    return out
 
 
 def kernels_in_group(group: Group) -> list[type[KernelBase]]:

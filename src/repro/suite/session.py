@@ -4,11 +4,13 @@ Every campaign runner — the serial loop, the supervised pool, and each
 shard supervisor of a sharded campaign — opens its output directory the
 same way: acquire the :class:`CampaignLock`, salvage any packed
 segments a crashed predecessor stranded, and load (or start) the
-campaign manifest. And every runner that completes closes the same way:
-fold remaining segments and rewrite the packed archive into its
-canonical, name-sorted form, so the final ``campaign.calipack`` is a
-pure function of its entry set — the property that makes serial,
-supervised, and sharded runs of one campaign byte-identical.
+campaign manifest. And every runner that completes (or drains) closes
+the same way: compact the manifest journal into
+``campaign_manifest.json``, and fold remaining segments into the packed
+archive in its canonical, name-sorted form, so the final
+``campaign.calipack`` is a pure function of its entry set — the
+property that makes serial, supervised, and sharded runs of one
+campaign byte-identical.
 
 :class:`CampaignSession` keeps that protocol in one place so the
 runners cannot drift apart.
@@ -60,22 +62,29 @@ class CampaignSession:
         return self
 
     def finalize(self) -> None:
-        """Seal a completed run: fold segments, canonicalize the archive.
+        """Seal a completed or drained run: fold segments into the
+        canonical archive, compact the manifest.
 
-        Idempotent — re-finalizing an already-canonical archive rewrites
-        it to the same bytes — so a crash between finalize and the
-        caller's last manifest save just repeats this step on resume.
+        The archive is rewritten once: :func:`merge_segments` already
+        writes the canonical name-sorted form, so only a run that merged
+        nothing (the serial loop appends to the archive directly) needs
+        :func:`canonicalize_archive`. Idempotent — re-finalizing rewrites
+        the same bytes — so a crash inside finalize just repeats it on
+        resume.
         """
-        if not (self.write_files and self.params.pack):
+        if not self.write_files:
             return
-        from repro.caliper.calipack import (
-            ARCHIVE_NAME,
-            canonicalize_archive,
-            merge_segments,
-        )
+        if self.params.pack:
+            from repro.caliper.calipack import (
+                ARCHIVE_NAME,
+                canonicalize_archive,
+                merge_segments,
+            )
 
-        merge_segments(self.params.output_dir)
-        canonicalize_archive(Path(self.params.output_dir) / ARCHIVE_NAME)
+            if merge_segments(self.params.output_dir) is None:
+                canonicalize_archive(Path(self.params.output_dir) / ARCHIVE_NAME)
+        if self.manifest is not None:
+            self.manifest.save()
 
     def close(self) -> None:
         if self.lock is not None:

@@ -250,8 +250,7 @@ class CampaignSupervisor:
                     pending, costs, report, profiles, paths, manifest,
                     write_files,
                 )
-                if manifest is not None and write_files:
-                    manifest.save()
+            # Completed or drained: fold segments and compact the ledger.
             session.finalize()
         finally:
             session.close()
@@ -317,7 +316,7 @@ class CampaignSupervisor:
                     failed_kernels=result.failed_kernels,
                     elapsed_s=result.elapsed_s,
                 )
-                manifest.save()
+                manifest.checkpoint()
                 crash_point("supervisor.post-record", path=manifest.path)
             if self.on_cell_complete is not None:
                 self.on_cell_complete(result.key)
@@ -358,7 +357,7 @@ class CampaignSupervisor:
                     manifest.record(
                         key, STATUS_FAILED, failed_kernels=["<worker crash>"]
                     )
-                    manifest.save()
+                    manifest.checkpoint()
                 return
             report.add(
                 KernelRunRecord(

@@ -113,10 +113,13 @@ def _rebuild_cell(task: CellTask):
     )
 
 
-def run_cell_task(executor, task: CellTask, write_files: bool) -> CellResult:
-    """Execute one task through the shared cell primitive."""
+def run_cell_task(
+    executor, task: CellTask, write_files: bool
+) -> tuple[CellResult, bytes | None]:
+    """Execute one task through the shared cell primitive; also returns
+    the profile's sealed bytes when the packed write produced them."""
     outcome = executor.run_cell(_rebuild_cell(task), write_files)
-    return CellResult(
+    result = CellResult(
         worker_id=-1,  # stamped by the caller
         key=task.key,
         status=outcome.status,
@@ -126,22 +129,28 @@ def run_cell_task(executor, task: CellTask, write_files: bool) -> CellResult:
         failed_kernels=outcome.failed_kernels,
         elapsed_s=outcome.elapsed_s,
     )
+    return result, outcome.sealed
 
 
-def _offload_profile(result: CellResult, shm_ring) -> None:
+def _offload_profile(
+    result: CellResult, shm_ring, sealed: bytes | None = None
+) -> None:
     """Park the result's profile bytes in the shm ring when possible.
 
-    On success the pickled result crosses the queue without its region
-    tree; the supervisor rebuilds it from the slot. Any failure (no
-    ring, oversize payload, slot exhaustion) leaves the profile in the
-    result — the queue path always works.
+    ``sealed`` is the profile as the segment sink already serialized
+    it; only loose-file workers serialize here. On success the pickled
+    result crosses the queue without its region tree; the supervisor
+    rebuilds it from the slot. Any failure (no ring, oversize payload,
+    slot exhaustion) leaves the profile in the result — the queue path
+    always works.
     """
     if shm_ring is None or result.profile is None:
         return
     from repro.caliper.cali import serialize_cali
 
     try:
-        slot = shm_ring.try_write(serialize_cali(result.profile))
+        payload = sealed if sealed is not None else serialize_cali(result.profile)
+        slot = shm_ring.try_write(payload)
     except Exception:  # noqa: BLE001 - transport is best-effort
         slot = None
     if slot is not None:
@@ -231,8 +240,9 @@ def worker_main(
                 if stall:
                     emitter.suppress()
                     time.sleep(stall)  # wedged: the supervisor must kill us
+            sealed = None
             try:
-                result = run_cell_task(executor, task, write_files)
+                result, sealed = run_cell_task(executor, task, write_files)
             except ChaosCrash:  # a simulated crash must stay a crash
                 raise
             except BaseException as exc:  # noqa: BLE001 - cell never dies silently
@@ -255,7 +265,7 @@ def worker_main(
                     failed_kernels=["<worker>"],
                 )
             result.worker_id = worker_id
-            _offload_profile(result, shm_ring)
+            _offload_profile(result, shm_ring, sealed)
             result_queue.put(result)
     if executor.profile_sink is not None:
         executor.profile_sink.close()  # seal the segment's index

@@ -16,11 +16,17 @@ in-flight tmp; the losing ``os.replace`` is simply overwritten by the
 winner's, which is the documented last-wins semantics. Orphaned tmps
 (a crash between tmp write and replace) are swept by ``fsck``.
 
+Append-only logs (the campaign manifest's journal) use the second
+primitive here, :func:`append_durable_bytes`: cut a torn tail, write
+the record at the log's known good end, fsync. A crash mid-append
+leaves at most a partial last record, which the log's reader drops.
+
 Every step of the protocol is also a registered chaos crash point
 (:mod:`repro.chaos.points`): ``fsio.before-tmp-write``,
 ``fsio.after-tmp-fsync`` (torn-write capable), ``fsio.before-replace``,
-``fsio.after-replace``, and ``fsio.before-dir-fsync``. The hooks are
-no-ops unless a chaos schedule is armed.
+``fsio.after-replace``, ``fsio.before-dir-fsync``, and for appends
+``fsio.mid-append`` (torn-write capable). The hooks are no-ops unless a
+chaos schedule is armed.
 """
 
 from __future__ import annotations
@@ -87,3 +93,32 @@ def write_durable_bytes(target: str | Path, data: bytes) -> Path:
     crash_point("fsio.after-tmp-fsync", path=out, torn_file=tmp)
     durable_replace(tmp, out)
     return out
+
+
+def append_durable_bytes(target: str | Path, data: bytes, offset: int) -> int:
+    """Durably append ``data`` to an append-only log at ``offset``.
+
+    ``offset`` is the end of the log's last intact record, as its reader
+    found it: whatever lies past it (a torn record a crash left) is cut
+    before the write, so records never interleave with garbage. The
+    file is created when absent, with a directory fsync so the new name
+    survives a power cut. Returns the new end offset.
+    """
+    out = Path(target)
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o644)
+    try:
+        os.ftruncate(fd, offset)
+        view, at = memoryview(data), offset
+        while view:
+            written = os.pwrite(fd, view, at)
+            view, at = view[written:], at + written
+        crash_point("fsio.mid-append", path=out, torn_file=out, torn_base=offset)
+        try:
+            os.fsync(fd)
+        except OSError:  # pragma: no cover - fs without fsync
+            pass
+    finally:
+        os.close(fd)
+    if offset == 0:
+        fsync_dir(out.parent)
+    return offset + len(data)

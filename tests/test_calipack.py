@@ -292,3 +292,98 @@ def test_supervised_packed_campaign_merges_segments(tmp_path):
     assert not (tmp_path / calipack.SEGMENT_DIR).exists()
     assert len(calipack.load_index(archive)) == 4  # 2 variants x 2 trials
     assert fsck_directory(tmp_path).clean
+
+
+# ------------------------------------------------------- schemas at append
+def test_profile_schema_matches_parsing_the_bytes(tmp_path):
+    result = SuiteExecutor(
+        small_params(tmp_path, pack=False, trials=2,
+                     variants=("Base_Seq", "RAJA_CUDA"),
+                     machines=("SPR-DDR", "P9-V100"))
+    ).run()
+    odd = make_profile("odd")
+    odd.globals.update({
+        "none": None, "flag": True, "big": 2**70, "neg0": -0.0,
+        "nested": {"a": [1, 2]}, "seq": [1, "x"], "tup": (1, 2),
+    })
+    for profile in result.profiles + [make_profile("a"), odd]:
+        expected = calipack.extract_entry_schema(serialize_cali(profile))
+        got = calipack.profile_schema(profile)
+        assert json.dumps(got) == json.dumps(expected)
+        assert got[1] == expected[1] and got[2] == expected[2]
+
+
+def test_profile_schema_declines_what_json_would_change():
+    import numpy as np
+
+    numpy_value = make_profile("n")
+    numpy_value.globals["size"] = np.int64(3)  # serializes as a scalar int
+    int_key = make_profile("k")
+    int_key.globals[7] = "seven"  # serializes under the key "7"
+    assert calipack.profile_schema(numpy_value) is None
+    assert calipack.profile_schema(int_key) is None
+
+
+def test_schema_carried_only_from_crc_verified_entries(tmp_path, monkeypatch):
+    source = tmp_path / "src.calipack"
+    with calipack.CalipackWriter(source) as writer:
+        for tag in ("a", "b", "c"):
+            writer.append_bytes(f"{tag}.cali", serialize_cali(make_profile(tag)))
+    entry_b = calipack.find_entry(source, "b.cali")
+    raw = bytearray(source.read_bytes())
+    raw[entry_b.offset + 5] ^= 0x01  # bit rot inside b's payload
+    source.write_bytes(bytes(raw))
+
+    parsed = []
+    real_extract = calipack.extract_entry_schema
+
+    def counting_extract(data):
+        parsed.append(data)
+        return real_extract(data)
+
+    monkeypatch.setattr(calipack, "extract_entry_schema", counting_extract)
+    target = tmp_path / "merged.calipack"
+    calipack._merge_archives([source], target)
+    # only the damaged entry is parsed (and yields no schema)
+    assert len(parsed) == 1
+    by_name = {e.name: e for e in calipack.load_index(target)}
+    assert by_name["b.cali"].attrs is None
+    for name in ("a.cali", "c.cali"):
+        entry = by_name[name]
+        attrs, metrics, _ = real_extract(
+            calipack.read_entry_bytes(target, entry)
+        )
+        assert (entry.attrs, entry.metrics) == (attrs, metrics)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_finalize_rewrites_the_archive_once_without_parsing(
+    tmp_path, monkeypatch, workers
+):
+    calls = {"merge": 0, "canonicalize": 0, "parse": 0}
+    real_merge = calipack._merge_archives
+    real_canon = calipack.canonicalize_archive
+
+    def merge(*args, **kwargs):
+        calls["merge"] += 1
+        return real_merge(*args, **kwargs)
+
+    def canonicalize(*args, **kwargs):
+        calls["canonicalize"] += 1
+        return real_canon(*args, **kwargs)
+
+    def parse(data):
+        calls["parse"] += 1
+        return None
+
+    monkeypatch.setattr(calipack, "_merge_archives", merge)
+    monkeypatch.setattr(calipack, "canonicalize_archive", canonicalize)
+    monkeypatch.setattr(calipack, "extract_entry_schema", parse)
+    params = small_params(tmp_path, trials=3, workers=workers)
+    result = SuiteExecutor(params).run(write_files=True)
+    assert result.report.clean
+    assert calls == {
+        "merge": 1, "canonicalize": 1 if workers == 1 else 0, "parse": 0,
+    }
+    entries = calipack.load_index(tmp_path / calipack.ARCHIVE_NAME)
+    assert len(entries) == 6 and all(e.attrs for e in entries)

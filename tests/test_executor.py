@@ -131,3 +131,70 @@ class TestRun:
             .find(("RAJAPerf", "Stream", "Stream_TRIAD")).metrics["Avg time/rank"]
         )
         assert t10 == pytest.approx(10 * t1, rel=1e-9)
+
+
+class TestModelMemo:
+    """Model quantities are pure in their keys: one executor computes
+    each once, however many records share it."""
+
+    def test_model_work_and_prediction_computed_once(self, monkeypatch):
+        from collections import Counter
+
+        from repro.suite.kernel_base import KernelBase
+
+        calls: Counter = Counter()
+
+        def counting(name, key_fn):
+            original = getattr(KernelBase, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[(name,) + key_fn(self, *args, **kwargs)] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(KernelBase, name, wrapper)
+
+        counting("work_profile", lambda k, reps=1: (type(k), k.problem_size,
+                                                    reps))
+        counting("effective_traits",
+                 lambda k, *a, **kw: (type(k), k.problem_size))
+        counting("predict", lambda k, machine, variant=None, block_size=None,
+                 **kw: (type(k), machine.shorthand, variant.name, block_size))
+        params = RunParams(
+            problem_size="1M",
+            machines=("SPR-DDR", "SPR-HBM", "P9-V100"),
+            variants=("Base_Seq", "RAJA_Seq", "RAJA_CUDA"),
+            kernels=("Basic_DAXPY", "Stream_TRIAD"),
+            gpu_block_sizes=(128, 256),
+            trials=3,
+            reps=5,
+        )
+        result = SuiteExecutor(params).run()
+        # 2 kernels x (2 CPU machines x 2 seq variants + 2 GPU blocks) x 3
+        assert len(result.report.records) == 2 * (2 * 2 + 2) * 3
+        assert calls and set(calls.values()) == {1}
+        # per class: reps=5 for the profile, one repetition to predict
+        assert sum(1 for k in calls if k[0] == "work_profile") == 2 * 2
+        assert sum(1 for k in calls if k[0] == "predict") == 2 * (2 * 2 + 2)
+
+    def test_memoised_profiles_match_a_fresh_kernel(self):
+        from repro.perfmodel.noise import noisy_time
+        from repro.suite.registry import get_kernel_class
+
+        params = RunParams(
+            problem_size="1M", machines=("P9-V100",),
+            variants=("RAJA_CUDA",), kernels=("Stream_TRIAD",),
+            gpu_block_sizes=(128,), trials=2, reps=3,
+        )
+        result = SuiteExecutor(params).run()
+        kernel = get_kernel_class("Stream_TRIAD")(problem_size="1M")
+        for trial, profile in enumerate(result.profiles):
+            node = next(n for n in profile.walk() if n.name == "Stream_TRIAD")
+            expected = noisy_time(
+                kernel.predict(P9_V100, get_variant("RAJA_CUDA"),
+                               block_size=128).total_seconds * 3,
+                "Stream_TRIAD", "P9-V100", trial, params.noise_sigma,
+            )
+            assert node.metrics["Avg time/rank"] == expected
+            assert node.metrics["iterations"] == (
+                kernel.work_profile(reps=3).iterations
+            )

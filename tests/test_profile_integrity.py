@@ -26,7 +26,8 @@ from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.suite import MANIFEST_NAME, RunParams, SuiteExecutor
 from repro.suite.errors import CampaignLockedError
 from repro.suite.fsck import QUARANTINE_DIR, fsck_directory
-from repro.suite.manifest import CampaignLock, CampaignManifest
+from repro.chaos.points import ChaosCrash, ChaosSchedule, arm, disarm
+from repro.suite.manifest import CampaignLock, CampaignManifest, journal_path
 from repro.suite.retry import RetryPolicy
 
 
@@ -242,6 +243,72 @@ def test_manifest_save_is_atomic_no_tmp_left_behind(tmp_path):
         "status"
     ] == "ok"
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_manifest_checkpoint_appends_only_the_changed_cell(tmp_path):
+    manifest = CampaignManifest.load_or_create(tmp_path, {"v": 1})
+    journal = journal_path(tmp_path / MANIFEST_NAME)
+    sizes = []
+    for i in range(6):
+        manifest.record(f"cell{i}", "ok", file=f"f{i}.cali", elapsed_s=0.5)
+        manifest.checkpoint()
+        sizes.append(journal.stat().st_size)
+    growth = [b - a for a, b in zip(sizes, sizes[1:])]
+    assert len(set(growth)) == 1  # O(1) bytes per cell, not O(ledger)
+    assert not (tmp_path / MANIFEST_NAME).exists()
+    loaded = CampaignManifest.load_or_create(tmp_path, {"v": 1})
+    assert loaded.cells == manifest.cells
+    assert loaded.cells["cell3"]["elapsed_s"] == 0.5
+
+
+def test_manifest_compaction_drops_the_journal(tmp_path):
+    manifest = CampaignManifest.load_or_create(tmp_path, {"v": 1})
+    manifest.record("a", "ok", file="a.cali", elapsed_s=1.5)
+    manifest.checkpoint()
+    manifest.save()
+    assert not journal_path(tmp_path / MANIFEST_NAME).exists()
+    payload = json.loads((tmp_path / MANIFEST_NAME).read_text())
+    assert payload["fingerprint"] == {"v": 1}
+    assert payload["cells"]["a"] == {
+        "status": "ok", "file": "a.cali", "failed_kernels": [],
+        "elapsed_s": 1.5,
+    }
+
+
+def test_crash_between_compaction_and_journal_drop_replays_nothing_new(
+    tmp_path,
+):
+    manifest = CampaignManifest.load_or_create(tmp_path, {"v": 1})
+    manifest.record("a", "failed", file=None)
+    manifest.checkpoint()
+    manifest.record("a", "ok", file="a.cali")  # changed, not journaled
+    arm(ChaosSchedule(point="manifest.post-compact"))
+    try:
+        with pytest.raises(ChaosCrash):
+            manifest.save()
+    finally:
+        disarm()
+    assert journal_path(tmp_path / MANIFEST_NAME).exists()
+    loaded = CampaignManifest.read(tmp_path / MANIFEST_NAME)
+    assert loaded.cells["a"]["status"] == "ok"
+
+
+def test_legacy_journal_less_manifest_still_loads(tmp_path):
+    legacy = {
+        "format": "rajaperf-campaign-manifest",
+        "version": 1,
+        "fingerprint": {"v": 1},
+        "cells": {"a": {"status": "ok", "file": "a.cali",
+                        "failed_kernels": []}},
+    }
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(legacy, indent=1))
+    manifest = CampaignManifest.load_or_create(tmp_path, {"v": 1})
+    assert manifest.is_complete("a")
+    manifest.record("b", "ok", file="b.cali")
+    manifest.checkpoint()
+    loaded = CampaignManifest.read(tmp_path / MANIFEST_NAME)
+    assert sorted(loaded.cells) == ["a", "b"]
+    assert loaded.fingerprint == {"v": 1}
 
 
 def test_campaign_lock_blocks_second_campaign(tmp_path):

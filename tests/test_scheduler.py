@@ -20,6 +20,7 @@ import pytest
 from repro.suite import MANIFEST_NAME, RunParams, SuiteExecutor
 from repro.suite.costmodel import (
     DEFAULT_CELL_COST_S,
+    HOST_S_PER_RECORD,
     CellCostModel,
     load_measured_costs,
     parse_cell_key,
@@ -103,6 +104,54 @@ def test_cost_model_falls_back_to_default_on_unknowns():
     model = CellCostModel.for_params(_model_params())
     assert model.cost("NO-SUCH-MACHINE", "Base_Seq", 0) == DEFAULT_CELL_COST_S
     assert model.cost_of_key("not a cell key") == DEFAULT_CELL_COST_S
+
+
+def test_model_only_cost_is_records_times_host_seconds(monkeypatch):
+    """Model-only cells cost host seconds per record, not simulated
+    machine seconds: equal record counts cost the same on any two
+    machines, and estimating never runs the performance model."""
+    from repro.machines.registry import get_machine
+    from repro.suite.kernel_base import KernelBase
+    from repro.suite.registry import get_kernel_class
+    from repro.suite.variants import get_variant
+
+    params = _model_params(
+        execute=False, kernels=("Basic_DAXPY", "Stream_TRIAD", "Apps_ENERGY"),
+        machines=("SPR-DDR", "SPR-HBM", "P9-V100", "EPYC-MI250X"),
+        variants=("Base_Seq", "Base_OMPTarget"),
+    )
+    daxpy = get_kernel_class("Basic_DAXPY")(problem_size=params.problem_size)
+    omp_target = get_variant("Base_OMPTarget")
+    simulated = {
+        m: daxpy.predict(get_machine(m), omp_target, block_size=64).total_seconds
+        for m in ("P9-V100", "EPYC-MI250X")
+    }
+    assert simulated["P9-V100"] != simulated["EPYC-MI250X"]
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the cost model ran the performance model")
+
+    monkeypatch.setattr(KernelBase, "predict", no_model)
+    model = CellCostModel.for_params(params)
+    assert model.cost("SPR-DDR", "Base_Seq", 0) == model.cost(
+        "SPR-HBM", "Base_Seq", 0
+    ) == 3 * HOST_S_PER_RECORD
+    assert model.cost("P9-V100", "Base_OMPTarget", 64) == model.cost(
+        "EPYC-MI250X", "Base_OMPTarget", 256
+    ) == 3 * HOST_S_PER_RECORD
+
+
+def test_straggler_still_orders_first_on_an_executed_campaign():
+    """The execute term keeps a chunked-dispatch straggler ahead of a
+    sweep of cheap seq cells under LPT."""
+    model = CellCostModel.for_params(_model_params(
+        problem_size=200_000, gpu_block_sizes=(8,), trials=4,
+    ))
+    keys = [
+        f"SPR-DDR|{v}|default|trial{t}"
+        for t in range(4) for v in ("Base_Seq", "RAJA_Seq")
+    ] + ["P9-V100|RAJA_CUDA|block_8|trial0"]
+    assert order_lpt(keys, model.cost_of_key)[0] == keys[-1]
 
 
 def test_measured_costs_override_analytics(tmp_path):

@@ -216,6 +216,40 @@ def test_sigint_mid_campaign_leaves_loadable_manifest_and_resumes(tmp_path):
     )
 
 
+def test_crashed_campaign_resumes_from_a_journal_only_ledger(tmp_path):
+    """A supervisor killed mid-campaign never compacts: its ledger is
+    the journal alone. Resume replays it and reruns only the cells the
+    journal does not record."""
+    from repro.chaos.points import ChaosCrash, ChaosSchedule, arm, disarm
+    from repro.suite.manifest import journal_path
+
+    params = _params(tmp_path, trials=3, pack=True)
+    arm(ChaosSchedule(point="supervisor.post-record", hit=2,
+                      token=str(tmp_path / "strike.token")))
+    try:
+        with pytest.raises(ChaosCrash):
+            SuiteExecutor(params).run(write_files=True)
+    finally:
+        disarm()
+    assert not (tmp_path / MANIFEST_NAME).exists()
+    assert journal_path(tmp_path / MANIFEST_NAME).exists()
+    recorded = CampaignManifest.read(tmp_path / MANIFEST_NAME)
+    assert recorded.fingerprint == params.fingerprint()
+    done = {k for k, e in recorded.cells.items() if e["status"] == "ok"}
+    assert len(done) == 2
+
+    resumed = SuiteExecutor(_params(tmp_path, trials=3, pack=True,
+                                    resume=True)).run(write_files=True)
+    skipped = {k for k, v in resumed.report.cells.items() if v == "skipped"}
+    ran = {k for k, v in resumed.report.cells.items() if v == "ok"}
+    assert skipped == done
+    assert len(ran) == 4 and not ran & done
+    assert not journal_path(tmp_path / MANIFEST_NAME).exists()
+    cells = _manifest_cells(tmp_path)
+    assert len(cells) == 6
+    assert all(entry["status"] == "ok" for entry in cells.values())
+
+
 def test_parallel_resume_skips_completed_cells(tmp_path):
     first = SuiteExecutor(_params(tmp_path)).run(write_files=True)
     assert first.report.cell_counts() == {"ok": 4}

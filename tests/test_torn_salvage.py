@@ -16,7 +16,10 @@ every boundary, asserting the recovery contract at each one:
   (:class:`~repro.service.jobstore.JobRecordDamaged` /
   :class:`~repro.service.jobstore.TombstoneDamaged`) or resolves to the
   byte-identical payload — a torn tombstone can never condemn a
-  different job.
+  different job;
+* manifest journal: every truncation of the last record replays to
+  exactly the intact prefix — never a wrong or phantom cell — and the
+  next append cuts the torn tail off.
 """
 
 import json
@@ -29,6 +32,7 @@ from repro.caliper import calipack
 from repro.caliper.cali import footer_line
 from repro.dataframe import Frame
 from repro.service import jobstore
+from repro.suite.manifest import CampaignManifest, journal_path
 from repro.thicket import ingest_cache
 
 
@@ -279,3 +283,64 @@ class TestTombstoneTruncationSweep:
             except jobstore.TombstoneDamaged:
                 continue
             assert got == self.PAYLOAD, f"misparse at byte {pos}"
+
+
+class TestManifestJournalTruncationSweep:
+    """A torn journal append loses at most the record in flight."""
+
+    FINGERPRINT = {"problem_size": 1024}
+
+    def _journal(self, tmp_path):
+        """Three checkpointed cells; returns the journal, its pristine
+        bytes and where the last record starts."""
+        manifest = CampaignManifest.load_or_create(tmp_path, self.FINGERPRINT)
+        for i, status in enumerate(("ok", "failed", "ok")):
+            manifest.record(f"m|v|default|trial{i}", status, file=f"f{i}.cali")
+            manifest.checkpoint()
+            if i == 1:
+                last_start = journal_path(manifest.path).stat().st_size
+        path = journal_path(manifest.path)
+        return path, path.read_bytes(), last_start
+
+    def test_every_truncation_replays_the_intact_prefix(self, tmp_path):
+        path, pristine, last_start = self._journal(tmp_path)
+        assert not (tmp_path / "campaign_manifest.json").exists()
+        prefix = {
+            "m|v|default|trial0": "ok",
+            "m|v|default|trial1": "failed",
+        }
+        for cut in range(last_start, len(pristine) + 1):
+            path.write_bytes(pristine[:cut])
+            got = CampaignManifest.read(tmp_path / "campaign_manifest.json")
+            statuses = {k: e["status"] for k, e in got.cells.items()}
+            if cut == len(pristine):
+                assert statuses == {**prefix, "m|v|default|trial2": "ok"}
+            else:
+                assert statuses == prefix, f"misreplay at byte {cut}"
+            assert got.fingerprint == self.FINGERPRINT
+
+    def test_append_after_a_torn_tail_cuts_it(self, tmp_path):
+        path, pristine, last_start = self._journal(tmp_path)
+        path.write_bytes(pristine[: last_start + 7])  # torn third record
+        manifest = CampaignManifest.load_or_create(tmp_path, self.FINGERPRINT)
+        manifest.record("m|v|default|trial9", "ok", file="f9.cali")
+        manifest.checkpoint()
+        got = CampaignManifest.read(tmp_path / "campaign_manifest.json")
+        assert sorted(got.cells) == [
+            "m|v|default|trial0", "m|v|default|trial1", "m|v|default|trial9",
+        ]
+
+    def test_seeded_byte_flips_never_invent_a_cell(self, tmp_path):
+        path, pristine, _ = self._journal(tmp_path)
+        full = CampaignManifest.read(tmp_path / "campaign_manifest.json").cells
+        positions = sorted(
+            {zlib.crc32(f"flip:{i}".encode()) % len(pristine)
+             for i in range(64)}
+        )
+        for pos in positions:
+            mutated = bytearray(pristine)
+            mutated[pos] ^= 0x01
+            path.write_bytes(bytes(mutated))
+            got = CampaignManifest.read(tmp_path / "campaign_manifest.json")
+            # replay stops at the damaged record: a prefix, never a change
+            assert all(full[k] == e for k, e in got.cells.items()), pos
